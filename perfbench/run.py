@@ -6,8 +6,8 @@ Usage, from the root of a checkout::
         --trace 0
 
 Workloads (see ``workloads.py`` and ``NOTES.md``): ``synflood`` (the
-Fig 7 suite), ``nash_sweep`` (the Fig 12 grid) and ``overload`` (the
-sustained-overload chaos matrix).
+Fig 7 suite), ``nash_sweep`` (the Fig 12 grid) and ``chaos`` (the
+fault-injection matrix).
 
 ``--trace 0`` runs untraced batches, each in a fresh process, until
 ``--seconds`` of batch time have passed, plus extra set-up-only
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        choices=("synflood", "nash_sweep", "overload"))
+                        choices=("synflood", "nash_sweep", "chaos"))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)

@@ -1,4 +1,4 @@
-"""The three benchmark workloads: what each runs and how it is checked.
+"""The benchmark workloads: what each runs and how it is checked.
 
 Each workload is a fixed batch of scenario cells run back to back in one
 process through a serial :class:`repro.runner.SweepRunner`. A cell is a
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 #: Default ``time_scale`` per workload (600 s nominal timeline).
-SCALES = {"synflood": 0.05, "nash_sweep": 0.03, "overload": 0.05}
+SCALES = {"synflood": 0.05, "nash_sweep": 0.03, "chaos": 0.05}
 NAMES = tuple(SCALES)
 
 #: MIB counters summed over every host of every cell (server counters
@@ -277,23 +277,25 @@ def _check_nash(cells: Cells) -> Dict[str, List[str]]:
 
 
 # ----------------------------------------------------------------------
-# overload: the chaos --overload matrix with invariants and attribution
+# chaos: the fault matrix with invariants and attribution sketches
 # ----------------------------------------------------------------------
-def _overload(seed: int, scale: float, profile: object) -> Workload:
+def _chaos(seed: int, scale: float, profile: object) -> Workload:
     from repro.experiments.scenario import ScenarioConfig
-    from repro.faults.chaos import overload_matrix, run_chaos_summary
+    from repro.faults.chaos import (ChaosSpec, default_fault_matrix,
+                                    run_chaos_summary)
     from repro.obs import TelemetrySpec
     from repro.runner import SweepRunner
     from repro.tcp.constants import DefenseMode
 
-    # The config `tcp-puzzles chaos --overload` builds at its defaults,
-    # with attribution sketches on.
+    # The config `tcp-puzzles chaos` builds at its defaults, with
+    # attribution sketches on.
     config = ScenarioConfig(
         seed=seed, time_scale=scale, n_clients=6, n_attackers=4,
         attack_style="connect", attack_enabled=True,
         defense=DefenseMode.PUZZLES, always_challenge=True,
         telemetry=TelemetrySpec(attribution=True), profile=profile)
-    matrix = overload_matrix(config, invariant_interval=0.25)
+    matrix = {label: ChaosSpec(config, schedule, invariant_interval=0.25)
+              for label, schedule in default_fault_matrix(config).items()}
     labels = list(matrix)
 
     def run() -> Cells:
@@ -304,7 +306,7 @@ def _overload(seed: int, scale: float, profile: object) -> Workload:
             try:
                 report = runner.map(run_chaos_summary, [matrix[label]],
                                     labels=[label])
-            except Exception as error:
+            except Exception as error:  # an invariant violation raises
                 cells.errors[label] = f"{type(error).__name__}: {error}"
                 cells.summaries.append(None)
                 continue
@@ -313,28 +315,28 @@ def _overload(seed: int, scale: float, profile: object) -> Workload:
             cells.cell_walls += [c.wall_seconds for c in report.stats.cells]
         return cells
 
-    return Workload(run, _check_overload)
+    return Workload(run, _check_chaos)
 
 
-def _check_overload(cells: Cells) -> Dict[str, List[str]]:
-    """The unchanged ``sustained_overload_verdict`` per row, and a
-    checker that actually ran (violations raise inside the cell)."""
-    from repro.faults.chaos import sustained_overload_verdict
-
+def _check_chaos(cells: Cells) -> Dict[str, List[str]]:
+    """Per row: a checker that ran (violations raise inside the cell),
+    a fault that was actually injected, and the MIB identities."""
     failures: Dict[str, List[str]] = {}
     for label, summary in zip(cells.labels, cells.summaries):
         if summary is None:
             continue
-        verdict = sustained_overload_verdict(summary)
-        reasons = [f"verdict {name}" for name, ok
-                   in verdict["checks"].items() if not ok]
+        reasons = []
         if summary.invariant_checks == 0:
             reasons.append("invariant checker never ran")
+        injected = sum((summary.fault_stats or {}).values())
+        if label != "baseline" and injected == 0:
+            reasons.append("no fault injected")
+        reasons += _mib_identities(summary)
         if reasons:
             failures[label] = reasons
     return failures
 
 
 _BUILDERS = {"synflood": _synflood, "nash_sweep": _nash_sweep,
-             "overload": _overload}
+             "chaos": _chaos}
 
