@@ -8,29 +8,31 @@
 #   1. byte-compile the whole package (catches syntax errors everywhere,
 #      including modules the tests do not import);
 #   2. the tier-1 pytest suite;
-#   3. an observability smoke run: a tiny traced scenario through the CLI,
+#   3. the paper-claims gate: `tcp-puzzles validate` must reproduce all 14
+#      claims (this also exercises the theory solvers end to end);
+#   4. an observability smoke run: a tiny traced scenario through the CLI,
 #      checking the SNMP counters are wired end to end;
-#   4. a bench-compare smoke: a tiny run's manifest must self-compare
+#   5. a bench-compare smoke: a tiny run's manifest must self-compare
 #      clean, and a perturbed-quantile copy must fail the gate;
-#   5. a micro-bench smoke: the `perf micro` harness at a tiny scale must
+#   6. a micro-bench smoke: the `perf micro` harness at a tiny scale must
 #      self-compare clean through `perf compare`, and a perturbed per-op
 #      p95 must fail the gate; the manifests land in benchmarks/output/
 #      for the CI artifact upload;
-#   6. a scheduler regression guard: the two engine micro-benchmarks
+#   7. a scheduler regression guard: the two engine micro-benchmarks
 #      (timer_churn, engine_dispatch) run at full scale and are compared
 #      direction-aware against the committed baseline — a throughput
 #      collapse back toward heap-era numbers fails the gate, while
 #      improvements only print notes;
-#   7. a chaos smoke: a small fault matrix with the runtime invariant
+#   8. a chaos smoke: a small fault matrix with the runtime invariant
 #      checker attached must pass, and a deliberately corrupted queue
 #      accounting must make the checker raise (the negative control);
-#   8. a sustained-overload smoke: the graceful-degradation ladder under
+#   9. a sustained-overload smoke: the graceful-degradation ladder under
 #      a 10x-capacity SYN flood, one cell per syncache overflow policy,
 #      each gated on bounded memory, bounded benign p99, and full
 #      watchdog recovery; the overload series land in
 #      benchmarks/output/overload/ for the CI artifact upload, and a
 #      ladder-disabled manifest must stay free of overload blocks;
-#   9. a streaming-telemetry smoke: two same-seed scenarios with the
+#  10. a streaming-telemetry smoke: two same-seed scenarios with the
 #      sim-time sampler attached must produce byte-identical series
 #      snapshots, a tiny `sweep --live` must leave a parseable status
 #      file in benchmarks/output/ (the CI artifact), and `top --once`
@@ -46,6 +48,9 @@ python -m compileall -q src
 
 echo "== tier-1 tests =="
 python -m pytest -x -q "$@"
+
+echo "== paper claims =="
+python -m repro.cli validate
 
 echo "== observability smoke run =="
 out=$(python -m repro.cli trace --duration 4 --clients 1 --attackers 0 \

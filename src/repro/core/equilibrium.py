@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from scipy.optimize import brentq
-
 from repro.core.mm1 import expected_service_time
 from repro.core.utility import client_utility
 from repro.errors import GameError
@@ -149,6 +147,10 @@ class ClientGame:
     def _solve_y_bar(self, difficulty: float, weights: Sequence[float]
                      ) -> Optional[float]:
         """Root of Eq. (9) for the sub-game over *weights*, or None."""
+        # Deferred: the simulator imports this module but never solves
+        # the game, so it should not pay for loading scipy.
+        from scipy.optimize import brentq
+
         n = len(weights)
         w_bar = sum(weights)
 

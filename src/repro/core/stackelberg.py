@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from scipy.optimize import brentq
-
 from repro.core.equilibrium import ClientGame, NashSolution
 from repro.errors import GameError
 from repro.puzzles.estimator import provider_net_work
@@ -79,6 +77,9 @@ class StackelbergGame:
         Returns the optimal ``ȳ*`` mapped back to a difficulty through
         Eq. (9): ``ℓ* = w̄/ȳ* − 1/(µ+N−ȳ*)²``.
         """
+        # Deferred for the same reason as in ClientGame._solve_y_bar.
+        from scipy.optimize import brentq
+
         n = self.clients.n_users
         mu = self.clients.mu
         w_bar = self.clients.w_bar

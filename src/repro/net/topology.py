@@ -3,8 +3,8 @@
 :func:`deter_topology` reproduces the paper's Figure 16 setup: a backbone of
 three routers fully connected with 1 Gbps links; the server attached at
 1 Gbps; every client and attacker host attached at 100 Mbps. Paths are
-static shortest paths (hop count), computed with :mod:`networkx` and cached
-per (attachment, attachment) pair.
+static shortest paths (hop count), found by a breadth-first search over an
+adjacency dict and cached per (source host, destination host) pair.
 
 Each undirected cable is a pair of independent :class:`~repro.net.link.Link`
 objects (full duplex).
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Dict, List, Tuple
-
-import networkx as nx
 
 from repro.errors import NetworkError
 from repro.net.link import Link
@@ -33,7 +31,8 @@ class Topology:
     """
 
     def __init__(self) -> None:
-        self._graph = nx.Graph()
+        self._adjacent: Dict[str, List[str]] = {}  # node -> neighbours
+        self._kind: Dict[str, str] = {}  # node -> "router" | "host"
         self._links: Dict[Tuple[str, str], Link] = {}
         self._attachment: Dict[str, str] = {}  # host node -> router node
         self._path_cache: Dict[Tuple[str, str], List[Link]] = {}
@@ -42,16 +41,22 @@ class Topology:
     # Construction
     # ------------------------------------------------------------------
     def add_router(self, name: str) -> None:
-        self._graph.add_node(name, kind="router")
+        self._adjacent.setdefault(name, [])
+        self._kind[name] = "router"
+
+    def _add_edge(self, a: str, b: str) -> None:
+        if b not in self._adjacent[a]:
+            self._adjacent[a].append(b)
+            self._adjacent[b].append(a)
 
     def connect(self, a: str, b: str, rate_bps: float,
                 delay: float = 0.0005,
                 buffer_bytes: int = 256 * 1024) -> None:
         """Join two nodes with a full-duplex link pair."""
         for node in (a, b):
-            if node not in self._graph:
+            if node not in self._kind:
                 raise NetworkError(f"unknown node {node!r}")
-        self._graph.add_edge(a, b)
+        self._add_edge(a, b)
         self._links[(a, b)] = Link(rate_bps=rate_bps, delay=delay,
                                    buffer_bytes=buffer_bytes,
                                    name=f"{a}->{b}")
@@ -64,13 +69,13 @@ class Topology:
                     delay: float = 0.0005,
                     buffer_bytes: int = 256 * 1024) -> None:
         """Attach a host to a router through its own access link pair."""
-        if router not in self._graph or \
-                self._graph.nodes[router].get("kind") != "router":
+        if self._kind.get(router) != "router":
             raise NetworkError(f"unknown router {router!r}")
-        if host_name in self._graph:
+        if host_name in self._kind:
             raise NetworkError(f"duplicate host {host_name!r}")
-        self._graph.add_node(host_name, kind="host")
-        self._graph.add_edge(host_name, router)
+        self._adjacent[host_name] = []
+        self._kind[host_name] = "host"
+        self._add_edge(host_name, router)
         self._links[(host_name, router)] = Link(
             rate_bps=rate_bps, delay=delay, buffer_bytes=buffer_bytes,
             name=f"{host_name}->{router}")
@@ -101,14 +106,30 @@ class Topology:
         for host in key:
             if host not in self._attachment:
                 raise NetworkError(f"host {host!r} is not attached")
-        try:
-            nodes = nx.shortest_path(self._graph, src_host, dst_host)
-        except nx.NetworkXNoPath:
-            raise NetworkError(
-                f"no path between {src_host!r} and {dst_host!r}")
+        nodes = self._shortest_path(src_host, dst_host)
         links = [self._links[(a, b)] for a, b in zip(nodes, nodes[1:])]
         self._path_cache[key] = links
         return links
+
+    def _shortest_path(self, src: str, dst: str) -> List[str]:
+        """Fewest-hop node sequence from *src* to *dst* (breadth-first)."""
+        parent: Dict[str, str] = {src: src}
+        frontier = [src]
+        while frontier and dst not in parent:
+            next_frontier = []
+            for node in frontier:
+                for neighbour in self._adjacent[node]:
+                    if neighbour not in parent:
+                        parent[neighbour] = node
+                        next_frontier.append(neighbour)
+            frontier = next_frontier
+        if dst not in parent:
+            raise NetworkError(f"no path between {src!r} and {dst!r}")
+        nodes = [dst]
+        while nodes[-1] != src:
+            nodes.append(parent[nodes[-1]])
+        nodes.reverse()
+        return nodes
 
     def all_links(self) -> List[Link]:
         return list(self._links.values())

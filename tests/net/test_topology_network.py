@@ -34,22 +34,61 @@ class TestTopology:
 
     def test_unknown_host_rejected(self):
         topo = deter_topology(1, 0)
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="'nope' is not attached"):
             topo.path_links("nope", "server")
+        with pytest.raises(NetworkError, match="'nope' is not attached"):
+            topo.path_links("server", "nope")
 
     def test_duplicate_host_rejected(self):
         topo = Topology()
         topo.add_router("r1")
         topo.attach_host("h", "r1", rate_bps=GBPS)
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="duplicate host 'h'"):
             topo.attach_host("h", "r1", rate_bps=GBPS)
+        with pytest.raises(NetworkError, match="duplicate host 'r1'"):
+            topo.attach_host("r1", "r1", rate_bps=GBPS)
 
     def test_attach_to_non_router_rejected(self):
         topo = Topology()
         topo.add_router("r1")
         topo.attach_host("h", "r1", rate_bps=GBPS)
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="unknown router 'h'"):
             topo.attach_host("h2", "h", rate_bps=GBPS)
+        with pytest.raises(NetworkError, match="unknown router 'r9'"):
+            topo.attach_host("h2", "r9", rate_bps=GBPS)
+
+    def test_paths_match_networkx_shortest_paths(self):
+        """The BFS picks the same links networkx would, for every pair."""
+        nx = pytest.importorskip("networkx")
+        topo = deter_topology(15, 10)
+        graph = nx.Graph()
+        graph.add_edges_from(link.name.split("->")
+                             for link in topo.all_links())
+        names = topo.host_names()
+        pairs = [(a, b) for a in names for b in names if a != b]
+        assert len(pairs) == 26 * 25
+        for src, dst in pairs:
+            nodes = nx.shortest_path(graph, src, dst)
+            expected = [topo.link(a, b) for a, b in zip(nodes, nodes[1:])]
+            assert topo.path_links(src, dst) == expected, (src, dst)
+
+    def test_disconnected_hosts_have_no_path(self):
+        topo = Topology()
+        topo.add_router("r1")
+        topo.add_router("r2")
+        topo.attach_host("a", "r1", rate_bps=GBPS)
+        topo.attach_host("b", "r2", rate_bps=GBPS)
+        with pytest.raises(NetworkError, match="no path between 'a' and 'b'"):
+            topo.path_links("a", "b")
+        topo.connect("r1", "r2", rate_bps=GBPS)
+        assert [link.name for link in topo.path_links("a", "b")] == \
+            ["a->r1", "r1->r2", "r2->b"]
+
+    def test_connect_unknown_node_rejected(self):
+        topo = Topology()
+        topo.add_router("r1")
+        with pytest.raises(NetworkError, match="unknown node 'r9'"):
+            topo.connect("r1", "r9", rate_bps=GBPS)
 
     def test_full_duplex_links_are_independent(self):
         topo = deter_topology(1, 0)

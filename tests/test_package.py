@@ -1,5 +1,6 @@
 """Package-level checks: public API surface, version, example hygiene."""
 
+import os
 import pathlib
 import py_compile
 import subprocess
@@ -34,6 +35,44 @@ class TestPublicApi:
         for name in ("SimulationError", "NetworkError", "CodecError",
                      "PuzzleError", "GameError", "ExperimentError"):
             assert issubclass(getattr(errors, name), errors.ReproError)
+
+
+#: Run in a fresh interpreter: the simulator's import path and one tiny
+#: flood must load neither scipy, which only the theory solvers need, nor
+#: networkx; the solvers must still work once they are called.
+_IMPORT_BUDGET_PROBE = """
+import sys
+
+import repro
+import repro.cli
+import repro.experiments.exp2_floods
+import repro.faults.chaos
+from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.summary import run_scenario_summary
+
+run_scenario_summary(ScenarioConfig(
+    time_scale=0.01, n_clients=2, n_attackers=2, attack_style="syn"))
+print("loaded:", sorted(name for name in ("scipy", "networkx")
+                        if name in sys.modules))
+
+params = repro.nash_difficulty(w_av=140630, alpha=1.1)
+game = repro.ClientGame.homogeneous(15, 140630.0, 1100.0)
+assert game.solve(params.expected_hashes).feasible
+assert repro.StackelbergGame(game).solve_relaxed().total_rate > 0
+print("nash:", params.k, params.m)
+"""
+
+
+class TestImportBudget:
+    def test_simulation_path_skips_theory_dependencies(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_BUDGET_PROBE],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert "loaded: []" in lines, result.stdout
+        assert "nash: 2 17" in lines, result.stdout
 
 
 class TestExamples:
