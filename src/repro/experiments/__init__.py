@@ -7,94 +7,60 @@ clients request text — the §6 testbed in simulation.
 
 The paper's 600 s timeline is scaled down by default (see
 ``ScenarioConfig.time_scale``); rates are paper-identical.
+
+The exports below load on first use (PEP 562 ``__getattr__``), so
+importing one experiment module does not import all the others.
 """
 
-from repro.experiments.scenario import (
-    Scenario,
-    ScenarioConfig,
-    ScenarioResult,
-)
-from repro.experiments.summary import (
-    ScenarioSummary,
-    run_scenario_summary,
-    summarize,
-)
-from repro.experiments.profiling_fig3 import (
-    client_profile_table,
-    server_stress_test,
-)
-from repro.experiments.exp1_connection_time import (
-    ConnectionTimeExperiment,
-    connection_time_cdf_grid,
-)
-from repro.experiments.exp2_floods import (
-    FloodExperiment,
-    run_connection_flood_suite,
-    run_syn_flood_suite,
-)
-from repro.experiments.exp3_nash import difficulty_sweep
-from repro.experiments.exp4_botnet import (
-    botnet_size_sweep,
-    per_node_rate_sweep,
-)
-from repro.experiments.exp5_adoption import adoption_study
-from repro.experiments.exp6_iot import iot_botnet_scenario, \
-    iot_profile_table
-from repro.experiments.ablations import (
-    controller_ablation,
-    expiry_window_ablation,
-    finite_n_convergence,
-    syncache_ablation,
-)
-from repro.experiments.extensions import (
-    adaptive_difficulty_experiment,
-    fair_queuing_experiment,
-    keepalive_experiment,
-    pow_fairness_table,
-    solution_flood_experiment,
-)
-from repro.experiments.heterogeneous import (
-    dropout_prediction_table,
-    mixed_clientele_experiment,
-)
-from repro.experiments.validation import run_validation
-from repro.experiments.figures import bar_chart, line_chart, sparkline
-from repro.experiments.report import render_table
+import importlib
 
-__all__ = [
-    "Scenario",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "ScenarioSummary",
-    "run_scenario_summary",
-    "summarize",
-    "client_profile_table",
-    "server_stress_test",
-    "ConnectionTimeExperiment",
-    "connection_time_cdf_grid",
-    "FloodExperiment",
-    "run_syn_flood_suite",
-    "run_connection_flood_suite",
-    "difficulty_sweep",
-    "per_node_rate_sweep",
-    "botnet_size_sweep",
-    "adoption_study",
-    "iot_profile_table",
-    "iot_botnet_scenario",
-    "controller_ablation",
-    "expiry_window_ablation",
-    "finite_n_convergence",
-    "syncache_ablation",
-    "adaptive_difficulty_experiment",
-    "fair_queuing_experiment",
-    "keepalive_experiment",
-    "pow_fairness_table",
-    "solution_flood_experiment",
-    "dropout_prediction_table",
-    "mixed_clientele_experiment",
-    "run_validation",
-    "bar_chart",
-    "line_chart",
-    "sparkline",
-    "render_table",
-]
+#: Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "Scenario": "scenario",
+    "ScenarioConfig": "scenario",
+    "ScenarioResult": "scenario",
+    "ScenarioSummary": "summary",
+    "run_scenario_summary": "summary",
+    "summarize": "summary",
+    "client_profile_table": "profiling_fig3",
+    "server_stress_test": "profiling_fig3",
+    "ConnectionTimeExperiment": "exp1_connection_time",
+    "connection_time_cdf_grid": "exp1_connection_time",
+    "FloodExperiment": "exp2_floods",
+    "run_syn_flood_suite": "exp2_floods",
+    "run_connection_flood_suite": "exp2_floods",
+    "difficulty_sweep": "exp3_nash",
+    "per_node_rate_sweep": "exp4_botnet",
+    "botnet_size_sweep": "exp4_botnet",
+    "adoption_study": "exp5_adoption",
+    "iot_profile_table": "exp6_iot",
+    "iot_botnet_scenario": "exp6_iot",
+    "controller_ablation": "ablations",
+    "expiry_window_ablation": "ablations",
+    "finite_n_convergence": "ablations",
+    "syncache_ablation": "ablations",
+    "adaptive_difficulty_experiment": "extensions",
+    "fair_queuing_experiment": "extensions",
+    "keepalive_experiment": "extensions",
+    "pow_fairness_table": "extensions",
+    "solution_flood_experiment": "extensions",
+    "dropout_prediction_table": "heterogeneous",
+    "mixed_clientele_experiment": "heterogeneous",
+    "run_validation": "validation",
+    "bar_chart": "figures",
+    "line_chart": "figures",
+    "sparkline": "figures",
+    "render_table": "report",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

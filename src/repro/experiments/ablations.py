@@ -21,6 +21,8 @@ from repro.core.equilibrium import ClientGame
 from repro.core.stackelberg import StackelbergGame
 from repro.core.theorem import equilibrium_difficulty
 from repro.experiments.scenario import Scenario, ScenarioConfig
+from repro.metrics.series import in_window
+from repro.metrics.summary import mean
 from repro.puzzles.juels import (
     FlowBinding,
     JuelsBrainardScheme,
@@ -58,12 +60,10 @@ def controller_ablation(base: Optional[ScenarioConfig] = None
             _run_built(scenario, result)
             start, end = result.attack_window()
             times, mbps = result.client_throughput.rx_mbps(config.duration)
-            mask = (times >= start) & (times < end)
-            mean = float(mbps[mask].mean()) if mask.any() else float("nan")
             rows.append(ControllerAblationRow(
                 controller="always-on" if always else "opportunistic",
                 attack=attack,
-                client_mean_mbps=mean,
+                client_mean_mbps=mean(in_window(times, mbps, start, end)),
                 client_completion_percent=result.client_completion_percent(),
                 challenges_sent=result.listener_stats.synacks_challenge,
                 attacker_established_rate=(

@@ -9,9 +9,7 @@ connection time grows *exponentially* in m and *linearly* in k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.hosts.cpu import CPU_CATALOG, SERVER_CPU, CPUProfile
 from repro.hosts.host import Host
@@ -26,6 +24,9 @@ from repro.sim.rng import RngStreams
 from repro.tcp.connection import ClientConnConfig
 from repro.tcp.constants import DefenseMode
 from repro.tcp.listener import DefenseConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_K_VALUES = (1, 2, 3, 4)
 DEFAULT_M_VALUES = (4, 10, 16, 20)
@@ -43,7 +44,7 @@ class ConnectionTimeResult:
     def summary(self) -> Summary:
         return describe(self.times)
 
-    def cdf(self) -> Tuple[np.ndarray, np.ndarray]:
+    def cdf(self) -> Tuple[List[float], List[float]]:
         return cdf(self.times)
 
 
@@ -59,6 +60,8 @@ class ConnectionTimeExperiment:
         default_factory=lambda: CPU_CATALOG["cpu1"])
 
     def run(self) -> ConnectionTimeResult:
+        import numpy as np
+
         engine = Engine()
         streams = RngStreams(self.seed + self.k * 100 + self.m)
         topology = deter_topology(1, 0)

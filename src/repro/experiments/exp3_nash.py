@@ -10,18 +10,20 @@ competitive mean with low variability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.summary import deterministic_engine_stats, \
     run_scenario_summary
+from repro.metrics.series import in_window
 from repro.metrics.summary import Summary, describe
 from repro.obs.hist import Histogram
 from repro.puzzles.params import PuzzleParams
 from repro.runner import RunnerStats, SweepRunner
 from repro.tcp.constants import DefenseMode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_K_VALUES = (1, 2, 3, 4)
 DEFAULT_M_VALUES = (12, 15, 16, 17, 18, 20)
@@ -63,16 +65,16 @@ class DifficultySpec:
 
 def run_difficulty_spec(spec: DifficultySpec) -> DifficultyCell:
     """Sweep-cell function: one connection-flood run at (spec.k, spec.m)."""
+    import numpy as np
+
     config = spec.config()
     summary = run_scenario_summary(config)
-    start, end = summary.attack_window()
     times, mbps = summary.client_throughput.rx_mbps(config.duration)
-    mask = (times >= start) & (times < end)
-    bins = mbps[mask]
+    bins = in_window(times, mbps, *summary.attack_window())
     return DifficultyCell(
         k=spec.k, m=spec.m,
         throughput=describe(bins),
-        throughput_bins=bins,
+        throughput_bins=np.asarray(bins),
         attacker_established_rate=summary.attacker_established_rate(),
         attacker_steady_rate=summary.attacker_steady_state_rate(),
         attacker_measured_rate=summary.attacker_measured_rate(),

@@ -17,15 +17,16 @@ attempts that completed (Figure 15's y-axis).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.summary import ScenarioSummary, run_scenario_summary
 from repro.puzzles.params import PuzzleParams
 from repro.runner import SweepRunner
 from repro.tcp.constants import DefenseMode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The paper's scenario labels.
 SCENARIOS = {
@@ -74,6 +75,8 @@ class AdoptionSpec:
 
 def run_adoption_cell(spec: AdoptionSpec) -> AdoptionOutcome:
     """Sweep-cell function: one adoption scenario."""
+    import numpy as np
+
     attacker_solves, client_solves = SCENARIOS[spec.label]
     config = spec.config()
     summary = run_scenario_summary(config)
@@ -115,6 +118,8 @@ def adoption_study(base: Optional[ScenarioConfig] = None,
 def grouped_series(outcomes: Dict[str, AdoptionOutcome]
                    ) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
     """The paper's three Figure 15 series: (NA,NC), (SA,NC), (*A,SC)."""
+    import numpy as np
+
     solving = [outcomes["NA,SC"], outcomes["SA,SC"]]
     stacked = np.vstack([o.completion_percent for o in solving])
     with np.errstate(invalid="ignore"):

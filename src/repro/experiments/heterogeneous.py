@@ -26,6 +26,7 @@ from repro.core.equilibrium import ClientGame
 from repro.experiments.scenario import Scenario, ScenarioConfig, \
     ScenarioResult
 from repro.hosts.cpu import CPU_CATALOG, IOT_CATALOG, CPUProfile
+from repro.metrics.summary import mean
 from repro.puzzles.params import PuzzleParams
 from repro.tcp.constants import DefenseMode
 
@@ -105,8 +106,6 @@ def mixed_clientele_experiment(
     Uses the scenario machinery with per-host CPU assignment and
     per-class tracking labels (via client label override).
     """
-    import numpy as np
-
     config = base if base is not None else ScenarioConfig()
     catalog = {**CPU_CATALOG, **IOT_CATALOG}
     n = config.n_clients
@@ -144,8 +143,7 @@ def mixed_clientele_experiment(
             device_class=label_class,
             completion_percent=(100.0 * completed / attempts
                                 if attempts else float("nan")),
-            mean_connect_time=(float(np.mean(connect_times))
-                               if connect_times else float("nan")),
+            mean_connect_time=mean(connect_times),
             challenged=challenged))
     return MixedClienteleOutcome(per_class=per_class, result=result)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.errors import ExperimentError
+from repro.experiments.summary import ScenarioMeasurements
 from repro.hosts.attacker import AttackerConfig
 from repro.hosts.botnet import Botnet, build_botnet
 from repro.hosts.client import BenignClient, ClientConfig
@@ -28,7 +29,6 @@ from repro.metrics.connections import ConnectionTracker
 from repro.metrics.cpuutil import CPUUtilizationSampler
 from repro.metrics.series import BinnedSeries
 from repro.metrics.queues import QueueSampler
-from repro.metrics.summary import Summary, describe
 from repro.metrics.throughput import HostThroughput
 from repro.net.addresses import AddressAllocator
 from repro.net.network import Network
@@ -158,7 +158,7 @@ class ScenarioConfig:
 
 
 @dataclass
-class ScenarioResult:
+class ScenarioResult(ScenarioMeasurements):
     """Everything measured during one scenario run."""
 
     config: ScenarioConfig
@@ -195,65 +195,12 @@ class ScenarioResult:
     watchdog: Optional[OverloadWatchdog] = None
 
     # ------------------------------------------------------------------
-    # Convenience summaries used across experiments
+    # Convenience summaries used across experiments (the shared ones
+    # come from ScenarioMeasurements)
     # ------------------------------------------------------------------
     @property
     def listener_stats(self):
         return self.server_app.listener.stats
-
-    def attack_window(self) -> tuple:
-        return (self.config.attack_start, self.config.attack_end)
-
-    def client_throughput_during_attack(self) -> Summary:
-        """Per-bin client rx throughput (Mbps) over the attack window."""
-        start, end = self.attack_window()
-        times, mbps = self.client_throughput.rx_mbps(self.config.duration)
-        mask = (times >= start) & (times < end)
-        return describe(mbps[mask])
-
-    def server_throughput_during_attack(self) -> Summary:
-        start, end = self.attack_window()
-        times, mbps = self.server_throughput.tx_mbps(self.config.duration)
-        mask = (times >= start) & (times < end)
-        return describe(mbps[mask])
-
-    def client_throughput_before_attack(self) -> Summary:
-        times, mbps = self.client_throughput.rx_mbps(self.config.duration)
-        mask = times < self.config.attack_start
-        return describe(mbps[mask])
-
-    def attacker_established_rate(self, start: Optional[float] = None,
-                                  end: Optional[float] = None) -> float:
-        """Mean attacker connections/second established *at the server*
-        during the attack (Figure 11's 'effective attack rate').
-
-        Measured server-side: a flooder that believes it connected (its ACK
-        was silently ignored) does not count — only accepted state does.
-        Defaults to the whole attack window; pass *start*/*end* to exclude
-        e.g. the pre-protection transient (scaled-down runs concentrate it).
-        """
-        window_start, window_end = self.attack_window()
-        if start is None:
-            start = window_start
-        if end is None:
-            end = window_end
-        series = self.server_established.get("attacker")
-        if series is None:
-            return 0.0
-        return series.window_sum(start, end) / max(end - start, 1e-9)
-
-    def attacker_steady_state_rate(self) -> float:
-        """Effective attack rate over the second half of the attack window
-        — past the engagement transient."""
-        start, end = self.attack_window()
-        return self.attacker_established_rate(start=(start + end) / 2.0)
-
-    def attacker_established_series(self) -> tuple:
-        """(times, connections/second) accepted from attackers (Fig. 11)."""
-        series = self.server_established.get("attacker")
-        if series is None:
-            series = BinnedSeries(self.config.bin_width)
-        return series.rate_series(self.config.duration)
 
     def attacker_measured_rate(self) -> float:
         """Mean attacker SYN/attempt rate actually achieved (Figures 13a,
@@ -263,21 +210,6 @@ class ScenarioResult:
         start, end = self.attack_window()
         return self.botnet.aggregate_stats().syns_sent / max(
             end - start, 1e-9)
-
-    def client_completion_percent(self) -> float:
-        start, end = self.attack_window()
-        counts = {"attempts": 0, "completed": 0}
-        for record in self.tracker.records:
-            if record.label != "client":
-                continue
-            if not start <= record.t_open < end:
-                continue
-            counts["attempts"] += 1
-            if record.t_completed is not None:
-                counts["completed"] += 1
-        if counts["attempts"] == 0:
-            return float("nan")
-        return 100.0 * counts["completed"] / counts["attempts"]
 
 
 class Scenario:

@@ -18,18 +18,19 @@ serial run's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.hosts.attacker import AttackStats
-from repro.metrics.connections import ConnectionRecord
+from repro.metrics.connections import ConnectionQueries, ConnectionRecord
 from repro.obs.hist import Histogram
 from repro.obs.timeseries import TimeSeries, series_payload
-from repro.metrics.series import BinnedSeries, GaugeSeries
+from repro.metrics.series import BinnedSeries, GaugeSeries, in_window
 from repro.metrics.summary import Summary, describe
 from repro.metrics.throughput import HostThroughput
 from repro.tcp.listener import ListenerStats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: ``engine.stats()`` keys that vary run-to-run on identical simulations.
 TIMING_KEYS = ("wall_seconds", "sim_wall_ratio")
@@ -77,7 +78,7 @@ class QueueSummary:
 
 
 @dataclass
-class ConnectionLog:
+class ConnectionLog(ConnectionQueries):
     """Connection lifecycles without the tracker's engine reference.
 
     Mirrors every :class:`~repro.metrics.connections.ConnectionTracker`
@@ -99,70 +100,99 @@ class ConnectionLog:
             series = BinnedSeries(self.bin_width)
         return series
 
-    def connect_times(self, label: str) -> np.ndarray:
-        return np.asarray([
-            r.connect_time for r in self.records
-            if r.label == label and r.connect_time is not None
-        ])
-
     def established_rate(self, label: str,
-                         until: float) -> Tuple[np.ndarray, np.ndarray]:
+                         until: float) -> Tuple[List[float], List[float]]:
         return self._series(self.established_series, label).rate_series(
             until)
 
     def attempt_rate(self, label: str,
-                     until: float) -> Tuple[np.ndarray, np.ndarray]:
+                     until: float) -> Tuple[List[float], List[float]]:
         return self._series(self.attempt_series, label).rate_series(until)
-
-    def completion_percent_series(self, label: str, until: float
-                                  ) -> Tuple[np.ndarray, np.ndarray]:
-        n_bins = max(1, int(np.ceil(until / self.bin_width)))
-        attempts = np.zeros(n_bins)
-        completions = np.zeros(n_bins)
-        for record in self.records:
-            if record.label != label:
-                continue
-            index = int(record.t_open // self.bin_width)
-            if not 0 <= index < n_bins:
-                continue
-            attempts[index] += 1
-            if record.t_completed is not None:
-                completions[index] += 1
-        times = np.arange(n_bins) * self.bin_width
-        with np.errstate(divide="ignore", invalid="ignore"):
-            percent = np.where(attempts > 0,
-                               100.0 * completions / attempts, np.nan)
-        return times, percent
-
-    def counts(self, label: str) -> Dict[str, int]:
-        out = {"attempts": 0, "established": 0, "completed": 0, "failed": 0,
-               "challenged": 0}
-        for record in self.records:
-            if record.label != label:
-                continue
-            out["attempts"] += 1
-            if record.t_established is not None:
-                out["established"] += 1
-            if record.t_completed is not None:
-                out["completed"] += 1
-            if record.t_failed is not None:
-                out["failed"] += 1
-            if record.challenged:
-                out["challenged"] += 1
-        return out
-
-    def established_in(self, label: str, start: float, end: float) -> int:
-        return sum(
-            1 for r in self.records
-            if r.label == label and r.t_established is not None
-            and start <= r.t_established < end)
 
     def labels(self) -> List[str]:
         return sorted({r.label for r in self.records})
 
 
+class ScenarioMeasurements:
+    """The measurement queries shared by the live
+    :class:`~repro.experiments.scenario.ScenarioResult` and the plain-data
+    :class:`ScenarioSummary`, so both read the same way.
+
+    Subclasses provide ``config``, ``client_throughput``,
+    ``server_throughput``, ``server_established``, ``tracker`` and
+    :meth:`attacker_measured_rate`.
+    """
+
+    def attack_window(self) -> tuple:
+        return (self.config.attack_start, self.config.attack_end)
+
+    def client_throughput_during_attack(self) -> Summary:
+        """Per-bin client rx throughput (Mbps) over the attack window."""
+        times, mbps = self.client_throughput.rx_mbps(self.config.duration)
+        return describe(in_window(times, mbps, *self.attack_window()))
+
+    def server_throughput_during_attack(self) -> Summary:
+        times, mbps = self.server_throughput.tx_mbps(self.config.duration)
+        return describe(in_window(times, mbps, *self.attack_window()))
+
+    def client_throughput_before_attack(self) -> Summary:
+        times, mbps = self.client_throughput.rx_mbps(self.config.duration)
+        return describe(in_window(times, mbps, float("-inf"),
+                                  self.config.attack_start))
+
+    def attacker_established_rate(self, start: Optional[float] = None,
+                                  end: Optional[float] = None) -> float:
+        """Mean attacker connections/second established *at the server*
+        during the attack (Figure 11's 'effective attack rate').
+
+        Measured server-side: a flooder that believes it connected (its ACK
+        was silently ignored) does not count — only accepted state does.
+        Defaults to the whole attack window; pass *start*/*end* to exclude
+        e.g. the pre-protection transient (scaled-down runs concentrate it).
+        """
+        window_start, window_end = self.attack_window()
+        if start is None:
+            start = window_start
+        if end is None:
+            end = window_end
+        series = self.server_established.get("attacker")
+        if series is None:
+            return 0.0
+        return series.window_sum(start, end) / max(end - start, 1e-9)
+
+    def attacker_steady_state_rate(self) -> float:
+        """Effective attack rate over the second half of the attack window
+        — past the engagement transient."""
+        start, end = self.attack_window()
+        return self.attacker_established_rate(start=(start + end) / 2.0)
+
+    def attacker_established_series(self) -> tuple:
+        """(times, connections/second) accepted from attackers (Fig. 11)."""
+        series = self.server_established.get("attacker")
+        if series is None:
+            series = BinnedSeries(self.config.bin_width)
+        return series.rate_series(self.config.duration)
+
+    def client_completion_percent(self) -> float:
+        """% of benign attempts opened in the attack window that
+        completed; NaN when there were none."""
+        start, end = self.attack_window()
+        attempts = completed = 0
+        for record in self.tracker.records:
+            if record.label != "client":
+                continue
+            if not start <= record.t_open < end:
+                continue
+            attempts += 1
+            if record.t_completed is not None:
+                completed += 1
+        if attempts == 0:
+            return float("nan")
+        return 100.0 * completed / attempts
+
+
 @dataclass
-class ScenarioSummary:
+class ScenarioSummary(ScenarioMeasurements):
     """Everything measured during one scenario run, as plain data."""
 
     config: object                      # ScenarioConfig (picklable)
@@ -211,68 +241,11 @@ class ScenarioSummary:
         """Alias matching ``ScenarioResult.tracker``."""
         return self.connections
 
-    def attack_window(self) -> tuple:
-        return (self.config.attack_start, self.config.attack_end)
-
-    def client_throughput_during_attack(self) -> Summary:
-        start, end = self.attack_window()
-        times, mbps = self.client_throughput.rx_mbps(self.config.duration)
-        mask = (times >= start) & (times < end)
-        return describe(mbps[mask])
-
-    def server_throughput_during_attack(self) -> Summary:
-        start, end = self.attack_window()
-        times, mbps = self.server_throughput.tx_mbps(self.config.duration)
-        mask = (times >= start) & (times < end)
-        return describe(mbps[mask])
-
-    def client_throughput_before_attack(self) -> Summary:
-        times, mbps = self.client_throughput.rx_mbps(self.config.duration)
-        mask = times < self.config.attack_start
-        return describe(mbps[mask])
-
-    def attacker_established_rate(self, start: Optional[float] = None,
-                                  end: Optional[float] = None) -> float:
-        window_start, window_end = self.attack_window()
-        if start is None:
-            start = window_start
-        if end is None:
-            end = window_end
-        series = self.server_established.get("attacker")
-        if series is None:
-            return 0.0
-        return series.window_sum(start, end) / max(end - start, 1e-9)
-
-    def attacker_steady_state_rate(self) -> float:
-        start, end = self.attack_window()
-        return self.attacker_established_rate(start=(start + end) / 2.0)
-
-    def attacker_established_series(self) -> tuple:
-        series = self.server_established.get("attacker")
-        if series is None:
-            series = BinnedSeries(self.config.bin_width)
-        return series.rate_series(self.config.duration)
-
     def attacker_measured_rate(self) -> float:
         if self.attack_stats is None:
             return 0.0
         start, end = self.attack_window()
         return self.attack_stats.syns_sent / max(end - start, 1e-9)
-
-    def client_completion_percent(self) -> float:
-        start, end = self.attack_window()
-        attempts = completed = 0
-        for record in self.connections.records:
-            if record.label != "client":
-                continue
-            if not start <= record.t_open < end:
-                continue
-            attempts += 1
-            if record.t_completed is not None:
-                completed += 1
-        if attempts == 0:
-            return float("nan")
-        return 100.0 * completed / attempts
 
     # ------------------------------------------------------------------
     def as_payload(self, include_timing: bool = False

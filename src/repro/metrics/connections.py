@@ -6,13 +6,15 @@ Backs the connection-time CDFs (Figure 6), established-connection rates
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+import math
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.metrics.series import BinnedSeries
 from repro.obs import hub_for
 from repro.sim.engine import Engine
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConnectionRecord:
@@ -47,7 +49,74 @@ class ConnectionRecord:
         return "pending"
 
 
-class ConnectionTracker:
+class ConnectionQueries:
+    """Record-log queries shared by the live :class:`ConnectionTracker`
+    and its picklable copy in a scenario summary (both hold ``records``
+    and ``bin_width``). The array accessors import numpy when called."""
+
+    records: List[ConnectionRecord]
+    bin_width: float
+
+    def connect_times(self, label: str) -> np.ndarray:
+        """Handshake latencies (seconds) for established connections."""
+        import numpy as np
+
+        return np.asarray([
+            r.connect_time for r in self.records
+            if r.label == label and r.connect_time is not None
+        ])
+
+    def completion_percent_series(self, label: str, until: float
+                                  ) -> Tuple[np.ndarray, np.ndarray]:
+        """% of attempts per bin that eventually completed (Figure 15).
+
+        A connection is attributed to the bin of its *attempt*.
+        """
+        import numpy as np
+
+        n_bins = max(1, math.ceil(until / self.bin_width))
+        attempts = np.zeros(n_bins)
+        completions = np.zeros(n_bins)
+        for record in self.records:
+            if record.label != label:
+                continue
+            index = int(record.t_open // self.bin_width)
+            if not 0 <= index < n_bins:
+                continue
+            attempts[index] += 1
+            if record.t_completed is not None:
+                completions[index] += 1
+        times = np.arange(n_bins) * self.bin_width
+        with np.errstate(divide="ignore", invalid="ignore"):
+            percent = np.where(attempts > 0,
+                               100.0 * completions / attempts, np.nan)
+        return times, percent
+
+    def counts(self, label: str) -> Dict[str, int]:
+        out = {"attempts": 0, "established": 0, "completed": 0, "failed": 0,
+               "challenged": 0}
+        for record in self.records:
+            if record.label != label:
+                continue
+            out["attempts"] += 1
+            if record.t_established is not None:
+                out["established"] += 1
+            if record.t_completed is not None:
+                out["completed"] += 1
+            if record.t_failed is not None:
+                out["failed"] += 1
+            if record.challenged:
+                out["challenged"] += 1
+        return out
+
+    def established_in(self, label: str, start: float, end: float) -> int:
+        return sum(
+            1 for r in self.records
+            if r.label == label and r.t_established is not None
+            and start <= r.t_established < end)
+
+
+class ConnectionTracker(ConnectionQueries):
     """Aggregates connection lifecycles per class label.
 
     Labels are free-form — the experiments use ``"client"`` and
@@ -103,68 +172,14 @@ class ConnectionTracker:
         self._series(self._failed_series, record.label).add(record.t_failed)
 
     # ------------------------------------------------------------------
-    # Queries
+    # Queries (the record-log ones come from ConnectionQueries)
     # ------------------------------------------------------------------
-    def connect_times(self, label: str) -> np.ndarray:
-        """Handshake latencies (seconds) for established connections."""
-        return np.asarray([
-            r.connect_time for r in self.records
-            if r.label == label and r.connect_time is not None
-        ])
-
     def established_rate(self, label: str,
-                         until: float) -> Tuple[np.ndarray, np.ndarray]:
+                         until: float) -> Tuple[List[float], List[float]]:
         """Connections/second entering ESTABLISHED, per bin (Figure 11)."""
         return self._series(self._established_series, label).rate_series(
             until)
 
     def attempt_rate(self, label: str,
-                     until: float) -> Tuple[np.ndarray, np.ndarray]:
+                     until: float) -> Tuple[List[float], List[float]]:
         return self._series(self._attempt_series, label).rate_series(until)
-
-    def completion_percent_series(self, label: str, until: float
-                                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """% of attempts per bin that eventually completed (Figure 15).
-
-        A connection is attributed to the bin of its *attempt*.
-        """
-        n_bins = max(1, int(np.ceil(until / self.bin_width)))
-        attempts = np.zeros(n_bins)
-        completions = np.zeros(n_bins)
-        for record in self.records:
-            if record.label != label:
-                continue
-            index = int(record.t_open // self.bin_width)
-            if not 0 <= index < n_bins:
-                continue
-            attempts[index] += 1
-            if record.t_completed is not None:
-                completions[index] += 1
-        times = np.arange(n_bins) * self.bin_width
-        with np.errstate(divide="ignore", invalid="ignore"):
-            percent = np.where(attempts > 0,
-                               100.0 * completions / attempts, np.nan)
-        return times, percent
-
-    def counts(self, label: str) -> Dict[str, int]:
-        out = {"attempts": 0, "established": 0, "completed": 0, "failed": 0,
-               "challenged": 0}
-        for record in self.records:
-            if record.label != label:
-                continue
-            out["attempts"] += 1
-            if record.t_established is not None:
-                out["established"] += 1
-            if record.t_completed is not None:
-                out["completed"] += 1
-            if record.t_failed is not None:
-                out["failed"] += 1
-            if record.challenged:
-                out["challenged"] += 1
-        return out
-
-    def established_in(self, label: str, start: float, end: float) -> int:
-        return sum(
-            1 for r in self.records
-            if r.label == label and r.t_established is not None
-            and start <= r.t_established < end)

@@ -7,13 +7,14 @@ utilisation percentages.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Sequence, Tuple
 
 from repro.metrics.series import GaugeSeries
 from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CPUUtilizationSampler:

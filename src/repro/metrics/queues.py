@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.metrics.series import GaugeSeries
 from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess
 from repro.tcp.listener import ListenSocket
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QueueSampler:

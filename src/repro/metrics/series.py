@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.errors import SimulationError
+from repro.metrics.summary import mean
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def in_window(times: Sequence[float], values: Sequence[float],
+              start: float, end: float) -> List[float]:
+    """The *values* whose matching *times* fall in ``[start, end)``."""
+    return [value for t, value in zip(times, values) if start <= t < end]
 
 
 class BinnedSeries:
@@ -30,31 +39,30 @@ class BinnedSeries:
         self._bins[index] = self._bins.get(index, 0.0) + value
         self.total += value
 
-    def series(self, until: float) -> Tuple[np.ndarray, np.ndarray]:
-        """(bin start times, per-bin sums) covering ``[t0, until)``."""
-        n_bins = max(1, int(np.ceil((until - self.t0) / self.bin_width)))
-        times = self.t0 + np.arange(n_bins) * self.bin_width
-        values = np.zeros(n_bins)
-        if self._bins:
-            # Vectorized fill: one fancy-indexed assignment instead of a
-            # Python loop over every bin (sweep post-processing hot path).
-            indices = np.fromiter(self._bins.keys(), dtype=np.int64,
-                                  count=len(self._bins))
-            sums = np.fromiter(self._bins.values(), dtype=np.float64,
-                               count=len(self._bins))
-            mask = (indices >= 0) & (indices < n_bins)
-            values[indices[mask]] = sums[mask]
+    def series(self, until: float) -> Tuple[List[float], List[float]]:
+        """(bin start times, per-bin sums) covering ``[t0, until)``.
+
+        Events before ``t0``, or in bins starting at or after *until*, are
+        left out.
+        """
+        n_bins = max(1, math.ceil((until - self.t0) / self.bin_width))
+        times = [self.t0 + i * self.bin_width for i in range(n_bins)]
+        values = [0.0] * n_bins
+        for index, total in self._bins.items():
+            if 0 <= index < n_bins:
+                values[index] = total
         return times, values
 
-    def rate_series(self, until: float) -> Tuple[np.ndarray, np.ndarray]:
+    def rate_series(self, until: float) -> Tuple[List[float], List[float]]:
         """Per-bin sums divided by the bin width (events or bytes /second)."""
         times, values = self.series(until)
-        return times, values / self.bin_width
+        width = self.bin_width
+        return times, [value / width for value in values]
 
     def window_sum(self, start: float, end: float) -> float:
         """Total accumulated in ``[start, end)`` (whole bins)."""
         lo = int((start - self.t0) // self.bin_width)
-        hi = int(np.ceil((end - self.t0) / self.bin_width))
+        hi = math.ceil((end - self.t0) / self.bin_width)
         return sum(v for i, v in self._bins.items() if lo <= i < hi)
 
 
@@ -93,6 +101,8 @@ class RingSeries:
         return list(zip(self._times, self._values))
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return np.asarray(self._times), np.asarray(self._values)
 
     def replace(self, samples) -> None:
@@ -126,20 +136,17 @@ class GaugeSeries:
         return len(self._times)
 
     def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return np.asarray(self._times), np.asarray(self._values)
 
-    def window(self, start: float, end: float) -> np.ndarray:
+    def window(self, start: float, end: float) -> List[float]:
         """Values sampled in ``[start, end)``."""
-        times, values = self.arrays()
-        if len(times) == 0:
-            return values
-        mask = (times >= start) & (times < end)
-        return values[mask]
+        return in_window(self._times, self._values, start, end)
 
     def mean_in(self, start: float, end: float) -> float:
-        values = self.window(start, end)
-        return float(np.mean(values)) if len(values) else float("nan")
+        return mean(self.window(start, end))
 
     def max_in(self, start: float, end: float) -> float:
         values = self.window(start, end)
-        return float(np.max(values)) if len(values) else float("nan")
+        return float(max(values)) if values else float("nan")

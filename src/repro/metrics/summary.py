@@ -1,14 +1,32 @@
 """Summary statistics: means, quantiles and boxplot descriptors.
 
 Backs the Figure 12 boxplots and the EXPERIMENTS.md tables.
+
+Pure Python, and bit-for-bit equal to the numpy reductions they replace
+(``np.mean``, ``np.std``, ``np.percentile``/``np.quantile`` with the
+default linear method), so the scenario summaries and their JSONL digests
+need no numpy:
+
+* sums use numpy's pairwise summation;
+* quantiles interpolate at ``q * (n - 1)`` with numpy's two-sided lerp;
+* any NaN input makes every statistic NaN.
+
+One thing is left to numpy's internals and not reproduced: when the
+input holds both ``+0.0`` and ``-0.0``, which of the two equal zeros a
+minimum, maximum or quantile lands on depends on numpy's SIMD reductions
+and its unstable partition. Such results are equal (``==``) but may
+differ in sign.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
-import numpy as np
+#: numpy's pairwise-summation block: at most this many items are summed
+#: with eight interleaved accumulators before the range is split in two.
+_PW_BLOCKSIZE = 128
 
 
 @dataclass(frozen=True)
@@ -41,21 +59,95 @@ class Summary:
                 f"max={self.maximum:.4g}")
 
 
+def _pairwise(data: List[float], start: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` over ``data[start:start + n]``."""
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += data[i]
+        return total
+    if n <= _PW_BLOCKSIZE:
+        r0, r1, r2, r3, r4, r5, r6, r7 = data[start:start + 8]
+        stop = start + n - n % 8
+        for i in range(start + 8, stop, 8):
+            r0 += data[i]
+            r1 += data[i + 1]
+            r2 += data[i + 2]
+            r3 += data[i + 3]
+            r4 += data[i + 4]
+            r5 += data[i + 5]
+            r6 += data[i + 6]
+            r7 += data[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(stop, start + n):
+            total += data[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(data, start, half) + _pairwise(data, start + half,
+                                                    n - half)
+
+
+def _pairwise_sum(data: List[float]) -> float:
+    """``np.sum`` of a list of floats: pairwise, from numpy's ``+0.0``
+    identity (so ``[-0.0]`` sums to ``0.0``)."""
+    return 0.0 + _pairwise(data, 0, len(data))
+
+
+def _floats(values: Sequence[float]) -> List[float]:
+    return [float(value) for value in values]
+
+
+def _has_nan(data: List[float]) -> bool:
+    return any(value != value for value in data)
+
+
+def mean(values: Sequence[float]) -> float:
+    """``np.mean``; NaN when *values* is empty."""
+    data = _floats(values)
+    if not data:
+        return float("nan")
+    return _pairwise_sum(data) / len(data)
+
+
+def _lerp_at(ordered: List[float], q: float) -> float:
+    """numpy's linear quantile of the sorted, NaN-free *ordered*."""
+    n = len(ordered)
+    virtual = (n - 1) * q
+    if virtual >= n - 1:          # numpy clamps to the last element ...
+        lower = upper = -1
+    else:
+        lower = math.floor(virtual)
+        upper = lower + 1
+    gamma = virtual - lower       # ... and takes gamma off the clamp
+    a, b = ordered[lower], ordered[upper]
+    diff = b - a
+    if gamma >= 0.5:
+        return b - diff * (1 - gamma)
+    return a + diff * gamma
+
+
 def describe(values: Sequence[float]) -> Summary:
-    """Summary of *values*; NaN-filled when empty."""
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        nan = float("nan")
+    """Summary of *values*; NaN-filled when empty or when any is NaN."""
+    data = _floats(values)
+    n = len(data)
+    nan = float("nan")
+    if n == 0:
         return Summary(0, nan, nan, nan, nan, nan, nan, nan)
+    if _has_nan(data):
+        return Summary(n, nan, nan, nan, nan, nan, nan, nan)
+    average = _pairwise_sum(data) / n
+    deviations = [(value - average) * (value - average) for value in data]
+    ordered = sorted(data)
     return Summary(
-        count=int(array.size),
-        mean=float(np.mean(array)),
-        std=float(np.std(array)),
-        minimum=float(np.min(array)),
-        q1=float(np.percentile(array, 25)),
-        median=float(np.percentile(array, 50)),
-        q3=float(np.percentile(array, 75)),
-        maximum=float(np.max(array)),
+        count=n,
+        mean=average,
+        std=math.sqrt(_pairwise_sum(deviations) / n),
+        minimum=min(data),
+        q1=_lerp_at(ordered, 0.25),
+        median=_lerp_at(ordered, 0.5),
+        q3=_lerp_at(ordered, 0.75),
+        maximum=max(data),
     )
 
 
@@ -68,10 +160,13 @@ def quantile(values: Sequence[float], q: float) -> float:
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
+    data = _floats(values)
+    if not data or _has_nan(data):
         return float("nan")
-    return float(np.quantile(array, q))
+    ordered = sorted(data)
+    if isinstance(q, int):        # numpy indexes integral q directly
+        return ordered[(len(ordered) - 1) * q]
+    return _lerp_at(ordered, q)
 
 
 def quantiles(values: Sequence[float],
@@ -81,9 +176,10 @@ def quantiles(values: Sequence[float],
 
 
 def cdf(values: Sequence[float]) -> tuple:
-    """Empirical CDF points ``(sorted values, cumulative probabilities)``."""
-    array = np.sort(np.asarray(list(values), dtype=float))
-    if array.size == 0:
-        return array, array
-    probs = np.arange(1, array.size + 1) / array.size
-    return array, probs
+    """Empirical CDF points ``(sorted values, cumulative probabilities)``
+    as lists; NaNs sort last, as in ``np.sort``."""
+    data = _floats(values)
+    ordered = sorted(value for value in data if value == value)
+    ordered += [value for value in data if value != value]
+    n = len(ordered)
+    return ordered, [i / n for i in range(1, n + 1)]

@@ -8,9 +8,7 @@ interface). Application *goodput* counts only data payload bytes.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import List, Sequence, Tuple
 
 from repro.metrics.series import BinnedSeries
 from repro.net.pcap import CaptureRecord
@@ -52,17 +50,18 @@ class HostThroughput:
         self.tap(record.time, record.packet, record.event)
 
     @staticmethod
-    def to_mbps(times: np.ndarray, byte_rate: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        return times, byte_rate * 8.0 / 1e6
+    def to_mbps(times: List[float], byte_rate: Sequence[float]
+                ) -> Tuple[List[float], List[float]]:
+        return times, [rate * 8.0 / 1e6 for rate in byte_rate]
 
-    def rx_mbps(self, until: float) -> Tuple[np.ndarray, np.ndarray]:
+    def rx_mbps(self, until: float) -> Tuple[List[float], List[float]]:
         return self.to_mbps(*self.rx.rate_series(until))
 
-    def tx_mbps(self, until: float) -> Tuple[np.ndarray, np.ndarray]:
+    def tx_mbps(self, until: float) -> Tuple[List[float], List[float]]:
         return self.to_mbps(*self.tx.rate_series(until))
 
-    def rx_goodput_mbps(self, until: float) -> Tuple[np.ndarray, np.ndarray]:
+    def rx_goodput_mbps(self, until: float
+                        ) -> Tuple[List[float], List[float]]:
         return self.to_mbps(*self.rx_goodput.rate_series(until))
 
     def mean_rx_mbps(self, start: float, end: float) -> float:

@@ -9,7 +9,9 @@ wall-clock timings, dict insertion order, float formatting — is pinned:
   (scenario summaries exclude wall-time fields from their payloads),
 * ``json.dumps(..., sort_keys=True)`` fixes key order,
 * numpy scalars/arrays are converted to plain Python so their ``repr``
-  quirks never leak into the text.
+  quirks never leak into the text. They are recognised only when numpy
+  is already loaded (``sys.modules``): a process that never imported it
+  cannot hold its values, so exporting never loads numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +19,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import sys
 from typing import Any, Iterable, List
-
-import numpy as np
 
 
 def to_jsonable(value: Any) -> Any:
@@ -38,10 +39,12 @@ def to_jsonable(value: Any) -> Any:
         return value.hex()
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, np.ndarray):
-        return [to_jsonable(item) for item in value.tolist()]
-    if isinstance(value, np.generic):
-        return to_jsonable(value.item())
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(value, np.ndarray):
+            return [to_jsonable(item) for item in value.tolist()]
+        if isinstance(value, np.generic):
+            return to_jsonable(value.item())
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: to_jsonable(getattr(value, f.name))

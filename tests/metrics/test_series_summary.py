@@ -58,7 +58,7 @@ class TestBinnedSeries:
         for t, v in events:
             series.add(t, v)
         _, values = series.series(until=101.0)
-        assert float(values.sum()) == pytest.approx(
+        assert sum(values) == pytest.approx(
             sum(v for _, v in events))
 
 

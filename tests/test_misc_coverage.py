@@ -122,7 +122,7 @@ class TestScenarioMisc:
         assert result.attacker_established_rate() == 0.0
         assert result.attacker_measured_rate() == 0.0
         times, rate = result.attacker_established_series()
-        assert float(rate.sum()) == 0.0
+        assert sum(rate) == 0.0
 
 
 class TestServerProcessingUnit:

@@ -18,8 +18,11 @@ class TestPublicApi:
         assert repro.__version__ == "1.4.0"
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name, None) is not None, name
+        import repro.experiments
+
+        for package in (repro, repro.experiments):
+            for name in package.__all__:
+                assert getattr(package, name, None) is not None, name
 
     def test_headline_workflow(self):
         """The README's three-line quickstart must keep working."""
@@ -37,9 +40,11 @@ class TestPublicApi:
             assert issubclass(getattr(errors, name), errors.ReproError)
 
 
-#: Run in a fresh interpreter: the simulator's import path and one tiny
-#: flood must load neither scipy, which only the theory solvers need, nor
-#: networkx; the solvers must still work once they are called.
+#: Run in a fresh interpreter: the simulator's import path, one tiny
+#: flood and its summary/JSONL digest must load neither numpy (only the
+#: figure functions that build arrays need it), scipy (only the theory
+#: solvers), networkx nor the experiment modules the flood does not use;
+#: the solvers must still work once called.
 _IMPORT_BUDGET_PROBE = """
 import sys
 
@@ -49,11 +54,21 @@ import repro.experiments.exp2_floods
 import repro.faults.chaos
 from repro.experiments.scenario import ScenarioConfig
 from repro.experiments.summary import run_scenario_summary
+from repro.runner import cells_to_jsonl
 
-run_scenario_summary(ScenarioConfig(
+summary = run_scenario_summary(ScenarioConfig(
     time_scale=0.01, n_clients=2, n_attackers=2, attack_style="syn"))
-print("loaded:", sorted(name for name in ("scipy", "networkx")
+summary.as_payload()
+cells_to_jsonl([summary])
+summary.client_throughput_during_attack()
+summary.server_throughput_during_attack()
+summary.client_throughput_before_attack()
+print("loaded:", sorted(name for name in ("numpy", "scipy", "networkx")
                         if name in sys.modules))
+print("experiments:", sorted(
+    name for name in ("ablations", "extensions", "validation",
+                      "heterogeneous", "exp3_nash", "exp5_adoption")
+    if "repro.experiments." + name in sys.modules))
 
 params = repro.nash_difficulty(w_av=140630, alpha=1.1)
 game = repro.ClientGame.homogeneous(15, 140630.0, 1100.0)
@@ -62,17 +77,49 @@ assert repro.StackelbergGame(game).solve_relaxed().total_rate > 0
 print("nash:", params.k, params.m)
 """
 
+#: A tiny SYN flood exported to JSONL in a fresh interpreter where
+#: ``import numpy`` fails.
+_NO_NUMPY_PROBE = """
+import sys
+
+sys.modules["numpy"] = None
+
+from repro.experiments.scenario import ScenarioConfig
+from repro.experiments.summary import run_scenario_summary
+from repro.runner import cells_to_jsonl
+
+sys.stdout.write(cells_to_jsonl([run_scenario_summary(ScenarioConfig(
+    time_scale=0.01, n_clients=2, n_attackers=2, attack_style="syn"))]))
+"""
+
+
+def _run_probe(probe: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+
 
 class TestImportBudget:
     def test_simulation_path_skips_theory_dependencies(self):
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        result = subprocess.run(
-            [sys.executable, "-c", _IMPORT_BUDGET_PROBE],
-            capture_output=True, text=True, timeout=120, env=env)
+        result = _run_probe(_IMPORT_BUDGET_PROBE)
         assert result.returncode == 0, result.stderr
         lines = result.stdout.splitlines()
         assert "loaded: []" in lines, result.stdout
+        assert "experiments: []" in lines, result.stdout
         assert "nash: 2 17" in lines, result.stdout
+
+    def test_export_without_numpy_is_byte_identical(self):
+        from repro.experiments.scenario import ScenarioConfig
+        from repro.experiments.summary import run_scenario_summary
+        from repro.runner import cells_to_jsonl
+
+        result = _run_probe(_NO_NUMPY_PROBE)
+        assert result.returncode == 0, result.stderr
+        expected = cells_to_jsonl([run_scenario_summary(ScenarioConfig(
+            time_scale=0.01, n_clients=2, n_attackers=2,
+            attack_style="syn"))])
+        assert result.stdout == expected
 
 
 class TestExamples:
