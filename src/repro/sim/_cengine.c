@@ -252,6 +252,9 @@ Event_cancel(EventObject *ev, PyObject *Py_UNUSED(ignored))
     if (ev->cancelled)
         Py_RETURN_NONE;
     ev->cancelled = 1;
+    /* A cancelled event never fires: release what it would have called. */
+    Py_CLEAR(ev->callback);
+    Py_CLEAR(ev->args);
     if (ev->engine != NULL)
         note_cancelled(ev->engine, ev);
     Py_RETURN_NONE;
@@ -926,10 +929,14 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
 
     self->running = 1;
     self->stopped = 0;
-    /* Hold the cyclic GC for the duration of the dispatch loop: event
-     * and packet churn is refcount-managed (no cycles), so generational
-     * scans are pure overhead at flood rates (~20% of wall). Restored
-     * on every exit path; left alone if the caller already disabled it. */
+    /* Hold the cyclic GC for the duration of the dispatch loop:
+     * generational scans are pure overhead at flood rates (~20% of
+     * wall). The hold is safe because dead simulation state is freed by
+     * refcounting alone: a fired or cancelled event drops its callback
+     * and args, and a connection drops its application hooks at end of
+     * life, so timer handles and hooks leave no reference cycles behind.
+     * Restored on every exit path; left alone if the caller already
+     * disabled it. */
     int gc_was_enabled = PyGC_IsEnabled();
     if (gc_was_enabled)
         PyGC_Disable();
@@ -966,10 +973,21 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
             ev->loc = LOC_NONE;
             Py_CLEAR(ev->engine);
             self->now = ev->time;
+            /* A fired event releases its callback and args: the event
+             * hands its references to the dispatch (so a callback that
+             * cancels its own event cannot free what is running) and
+             * they are dropped once the callback and any profiler
+             * record are done. */
+            PyObject *callback = ev->callback;
+            PyObject *cargs = ev->args;
+            ev->callback = NULL;
+            ev->args = NULL;
+            Py_DECREF(ev);
             if (!profiler) {
-                PyObject *res = PyObject_Call(ev->callback, ev->args, NULL);
+                PyObject *res = PyObject_Call(callback, cargs, NULL);
+                Py_DECREF(callback);
+                Py_DECREF(cargs);
                 if (!res) {
-                    Py_DECREF(ev);
                     failed = 1;
                     break;
                 }
@@ -977,34 +995,18 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
             }
             else {
                 double started = 0.0, finished = 0.0;
-                if (call_pc(pc, &started) < 0) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                PyObject *res = PyObject_Call(ev->callback, ev->args, NULL);
-                if (!res) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                Py_DECREF(res);
-                if (call_pc(pc, &finished) < 0) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                PyObject *wall = PyFloat_FromDouble(finished - started);
-                if (!wall) {
-                    Py_DECREF(ev);
-                    failed = 1;
-                    break;
-                }
-                PyObject *rres = PyObject_CallFunctionObjArgs(
-                    record, ev->callback, wall, NULL);
-                Py_DECREF(wall);
+                PyObject *res = NULL, *wall = NULL, *rres = NULL;
+                if (call_pc(pc, &started) == 0
+                        && (res = PyObject_Call(callback, cargs, NULL))
+                        && call_pc(pc, &finished) == 0
+                        && (wall = PyFloat_FromDouble(finished - started)))
+                    rres = PyObject_CallFunctionObjArgs(
+                        record, callback, wall, NULL);
+                Py_XDECREF(res);
+                Py_XDECREF(wall);
+                Py_DECREF(callback);
+                Py_DECREF(cargs);
                 if (!rres) {
-                    Py_DECREF(ev);
                     failed = 1;
                     break;
                 }
@@ -1013,7 +1015,6 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
             self->events_processed++;
             self->live--;
             processed_this_run++;
-            Py_DECREF(ev);
             if (processed_this_run >= event_limit || self->stopped) {
                 halt = 1;
                 break;

@@ -77,7 +77,9 @@ class Event:
     """Handle for a scheduled callback.
 
     Returned by :meth:`Engine.schedule`; the only public operation is
-    :meth:`cancel`. Instances are single-use.
+    :meth:`cancel`. Instances are single-use: once the event has fired
+    or been cancelled it drops ``callback`` and ``args`` (both read
+    ``None``), so a handle kept by its owner never pins the owner.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "slot",
@@ -98,6 +100,7 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = self.args = None
         engine = self.engine
         if engine is not None:
             engine._note_cancelled(self)
@@ -494,10 +497,13 @@ class Engine:
         # The batch list is only ever mutated in place, so `batch` stays
         # valid across refills, drains, and re-entrant scheduling.
         batch = self._batch
-        # Hold the cyclic GC for the dispatch loop: event/packet churn is
-        # refcount-managed (no cycles), so generational scans are pure
-        # overhead at flood rates. Restored in the `finally`; left alone
-        # if the caller already disabled it.
+        # Hold the cyclic GC for the dispatch loop: generational scans are
+        # pure overhead at flood rates. The hold is safe because dead
+        # simulation state is freed by refcounting alone: a fired or
+        # cancelled event drops its callback and args (so an owner's
+        # timer handle never keeps the owner alive), and a connection
+        # drops its application hooks at end of life. Restored in the
+        # `finally`; left alone if the caller already disabled it.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -524,7 +530,10 @@ class Engine:
                             continue
                         event.engine = None
                         self._now = entry[0]
-                        event.callback(*event.args)
+                        callback = event.callback
+                        args = event.args
+                        event.callback = event.args = None
+                        callback(*args)
                         self._events_processed += 1
                         self._live -= 1
                         processed_this_run += 1
@@ -544,10 +553,12 @@ class Engine:
                             continue
                         event.engine = None
                         self._now = entry[0]
+                        callback = event.callback
+                        args = event.args
+                        event.callback = event.args = None
                         started = perf_counter()
-                        event.callback(*event.args)
-                        profiler.record(event.callback,
-                                        perf_counter() - started)
+                        callback(*args)
+                        profiler.record(callback, perf_counter() - started)
                         self._events_processed += 1
                         self._live -= 1
                         processed_this_run += 1
@@ -650,7 +661,9 @@ def _differential_gate(cengine_cls) -> bool:
     """Adoption gate for a compiled core: a deterministic mixed workload
     (schedule / cancel / windowed runs / overflow-depth timers) must
     produce the identical fire order and bookkeeping as the Python
-    reference before the compiled class is allowed to replace it."""
+    reference, and release every fired or cancelled event's callback and
+    args the same way, before the compiled class is allowed to replace
+    it."""
     import random as _random
 
     def drive(engine_cls):
@@ -658,11 +671,14 @@ def _differential_gate(cengine_cls) -> bool:
         engine = engine_cls()
         order: List[tuple] = []
         handles: List = []
+        scheduled: List = []
         for step in range(120):
             for _ in range(8):
                 delay = rng.choice((0.0, 1e-4, 3e-3, 0.05, 0.3, 7.0))
-                handles.append(engine.schedule(
-                    delay, lambda s=step: order.append(("f", s, engine.now))))
+                event = engine.schedule(
+                    delay, lambda s=step: order.append(("f", s, engine.now)))
+                handles.append(event)
+                scheduled.append(event)
             rng.shuffle(handles)
             while len(handles) > 20:
                 handles.pop().cancel()
@@ -672,7 +688,10 @@ def _differential_gate(cengine_cls) -> bool:
         stats = engine.stats()
         keys = ("events_scheduled", "events_processed", "events_cancelled",
                 "pending_live", "sim_seconds")
-        return order, [stats[k] for k in keys]
+        # Every event has now fired or been cancelled.
+        released = all(event.callback is None and event.args is None
+                       for event in scheduled)
+        return order, [stats[k] for k in keys], released
 
     try:
         return drive(cengine_cls) == drive(PyEngine)

@@ -11,7 +11,9 @@ a diff against this one.
 The implementation is intentionally a verbatim copy of the pre-wheel
 engine (same tie-breaking, same clock-jump semantics, same stop/drain
 behaviour) rather than a simplified model: the differential tests are
-only as strong as the fidelity of the oracle.
+only as strong as the fidelity of the oracle. The one addition is the
+release rule every engine shares: a fired or cancelled event drops its
+callback and args, which changes no event order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,11 @@ COMPACT_MIN_HEAP = 64
 
 
 class ReferenceEvent:
-    """Handle for a scheduled callback (lazy-deletion flavour)."""
+    """Handle for a scheduled callback (lazy-deletion flavour).
+
+    Like the wheel engine's events, a fired or cancelled event drops its
+    ``callback`` and ``args`` (both read ``None`` afterwards).
+    """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "engine")
 
@@ -45,6 +51,7 @@ class ReferenceEvent:
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = self.args = None
         engine = self.engine
         if engine is not None:
             engine._note_cancelled()
@@ -189,13 +196,17 @@ class ReferenceHeapEngine:
                     self._cancelled_pending -= 1
                     continue
                 self._now = event.time
+                # A fired event releases its callback and args, like the
+                # wheel engine's (see `ReferenceEvent`).
+                callback = event.callback
+                args = event.args
+                event.callback = event.args = None
                 if profiler is None:
-                    event.callback(*event.args)
+                    callback(*args)
                 else:
                     started = perf_counter()
-                    event.callback(*event.args)
-                    profiler.record(event.callback,
-                                    perf_counter() - started)
+                    callback(*args)
+                    profiler.record(callback, perf_counter() - started)
                 self._events_processed += 1
                 processed_this_run += 1
                 if max_events is not None and processed_this_run >= max_events:

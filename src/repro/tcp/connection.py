@@ -128,6 +128,7 @@ class ClientConnection:
         self.stack.forget(self)
         if self.on_failed is not None:
             self.on_failed(self, "syn-timeout")
+        self._release_hooks()
 
     # ------------------------------------------------------------------
     # Inbound
@@ -152,6 +153,7 @@ class ClientConnection:
         self.stack.forget(self)
         if self.on_reset is not None:
             self.on_reset(self)
+        self._release_hooks()
 
     def _handle_synack(self, packet: Packet) -> None:
         if self.state not in (TCBState.SYN_SENT, TCBState.SOLVING):
@@ -181,6 +183,7 @@ class ClientConnection:
             self.stack.forget(self)
             if self.on_failed is not None:
                 self.on_failed(self, "challenge-abandoned")
+            self._release_hooks()
             return
         self.state = TCBState.SOLVING
         self._solve_started = self.host.engine.now
@@ -240,11 +243,26 @@ class ClientConnection:
         self._cancel_syn_timer()
         self.state = TCBState.CLOSED
         self.stack.forget(self)
+        self._release_hooks()
 
     def _cancel_syn_timer(self) -> None:
         if self._syn_timer is not None:
             self._syn_timer.cancel()
             self._syn_timer = None
+
+    def _release_hooks(self) -> None:
+        """Drop the application hooks at end of life.
+
+        A closed or reset connection never invokes a hook again, and the
+        hooks are usually bound methods of an owner that holds this
+        connection back; dropping them breaks that cycle so the pair is
+        freed by refcounting (the engine holds the cyclic GC during a
+        run). Called only after the terminal transition's own hook ran.
+        """
+        self.on_established = None
+        self.on_data = None
+        self.on_reset = None
+        self.on_failed = None
 
     @property
     def connect_time(self) -> Optional[float]:
@@ -282,6 +300,7 @@ class ServerConnection:
         if packet.is_rst:
             self.state = TCBState.RESET
             self.stack.forget_server(self)
+            self.on_data = None  # see ClientConnection._release_hooks
             return
         if packet.payload_bytes > 0:
             app_data = getattr(packet, "app_data", None)
@@ -319,6 +338,7 @@ class ServerConnection:
             return
         self.state = TCBState.CLOSED
         self.stack.forget_server(self)
+        self.on_data = None  # see ClientConnection._release_hooks
         if reset:
             packet = Packet(src_ip=self.host.address, dst_ip=self.remote_ip,
                             src_port=self.local_port,

@@ -501,9 +501,6 @@ class ListenSocket:
         self.host.send(response)
 
     def _send_cookie_synack(self, packet: Packet) -> None:
-        cookie = self._cookie_codec.encode(
-            self.host.now, packet.src_ip, packet.src_port,
-            self.port, packet.seq, packet.options.mss or DEFAULT_MSS)
         self.stats.synacks_cookie += 1
         self._mib_incr("SynCookiesSent")
         tracer = self._tracer
@@ -514,10 +511,15 @@ class ListenSocket:
         if fast is None:
             fast = self._resolve_fast_reply()
         if fast is not False and fast.sendable(packet.src_ip):
-            # The cookie is already minted (and its encoding cost paid);
-            # a spoofed peer will never echo it, so only bytes remain.
+            # A spoofed peer will never echo the cookie, so only bytes
+            # remain: the cookie is minted only for a SYN-ACK that is
+            # materialized (encoding is pure, so skipping it here changes
+            # no counter, trace or digest).
             fast.send(MSS_SYNACK_SIZE, packet.src_ip, packet.src_port)
             return
+        cookie = self._cookie_codec.encode(
+            self.host.now, packet.src_ip, packet.src_port,
+            self.port, packet.seq, packet.options.mss or DEFAULT_MSS)
         # wscale is lost with cookies; the MSS-only shape is interned.
         options = mss_options(DEFAULT_MSS)
         response = Packet(src_ip=self.host.address, dst_ip=packet.src_ip,

@@ -1,10 +1,24 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.engine import COMPACT_MIN_HEAP, Engine
+from repro.sim.engine import (COMPACT_MIN_HEAP, CEngine, Engine, PyEngine,
+                              _differential_gate)
+from repro.sim.reference import ReferenceHeapEngine
+
+#: Every engine the release rule binds: the compiled core, the Python
+#: wheel and the reference heap.
+ALL_ENGINES = [
+    pytest.param(CEngine, id="c", marks=pytest.mark.skipif(
+        CEngine is None, reason="compiled core unavailable")),
+    pytest.param(PyEngine, id="py"),
+    pytest.param(ReferenceHeapEngine, id="reference"),
+]
 
 
 class TestScheduling:
@@ -238,3 +252,122 @@ class TestDeterminism:
             engine.schedule(0.5, order.append, i)
         engine.run()
         assert order == list(range(len(delays)))
+
+
+class _Owner:
+    """Holds its own timer handles, like a connection or a request does:
+    owner -> event -> bound method -> owner is a reference cycle until
+    the event releases its callback."""
+
+    timer = None
+
+    def tick(self, *args):
+        pass
+
+    def cancel_timer(self):
+        self.timer.cancel()
+
+
+@pytest.fixture
+def gc_held():
+    """Keep the cyclic GC off for the test body so only refcounting
+    can free anything."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("engine_cls", ALL_ENGINES)
+class TestReleaseRule:
+    """A fired or cancelled event drops its callback and args."""
+
+    def test_fired_event_releases_callback_and_args(self, engine_cls):
+        engine = engine_cls()
+        seen = []
+        handle = engine.schedule(1.0, seen.append, "payload")
+        assert handle.callback is not None
+        engine.run()
+        assert seen == ["payload"]
+        assert handle.callback is None
+        assert handle.args is None
+
+    @pytest.mark.parametrize("delay", [1e-4, 1.0, 1000.0],
+                             ids=["batch", "wheel", "overflow"])
+    def test_cancelled_event_releases_callback_and_args(self, engine_cls,
+                                                        delay):
+        engine = engine_cls()
+        engine.schedule(1e-4, lambda: None)
+        handle = engine.schedule(delay, lambda x: None, 1)
+        if delay == 1e-4:
+            # Cancel while the handle sits in the batch being dispatched.
+            engine.run(max_events=1)
+        handle.cancel()
+        assert handle.callback is None
+        assert handle.args is None
+        engine.run()
+        assert engine.events_processed == 1
+
+    def test_callback_cancelling_its_own_event(self, engine_cls):
+        from repro.obs import EngineProfiler
+
+        engine = engine_cls()
+        profiler = EngineProfiler()
+        engine.attach_profiler(profiler)
+        owner = _Owner()
+        owner.timer = engine.schedule(1.0, owner.cancel_timer)
+        engine.run()
+        assert owner.timer.callback is None
+        # The profiler is handed the callback that ran, not the cleared
+        # slot.
+        assert list(profiler.snapshot()) == ["_Owner.cancel_timer"]
+
+    def test_fired_owner_freed_by_refcount(self, engine_cls, gc_held):
+        engine = engine_cls()
+        owner = _Owner()
+        owner.timer = engine.schedule(1.0, owner.tick, "x")
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is not None
+        engine.run()
+        assert ref() is None
+
+    def test_cancelled_owner_freed_by_refcount(self, engine_cls, gc_held):
+        engine = engine_cls()
+        owner = _Owner()
+        owner.timer = engine.schedule(5.0, owner.tick)
+        # The owner's other timer cancels the first one mid-run.
+        owner.other = engine.schedule(1.0, owner.cancel_timer)
+        ref = weakref.ref(owner)
+        del owner
+        engine.run()
+        assert ref() is None
+
+
+class _RetainedHandle:
+    """An event handle that keeps its callback after end of life."""
+
+    def __init__(self, event, callback, args):
+        self._event = event
+        self.callback = callback
+        self.args = args
+
+    def cancel(self):
+        self._event.cancel()
+
+
+class _RetainingEngine(ReferenceHeapEngine):
+    """Same event order as the reference, but without the release rule."""
+
+    def schedule(self, delay, callback, *args):
+        event = super().schedule(delay, callback, *args)
+        return _RetainedHandle(event, callback, args)
+
+
+def test_adoption_gate_requires_release_rule():
+    assert _differential_gate(ReferenceHeapEngine)
+    assert not _differential_gate(_RetainingEngine)

@@ -342,3 +342,87 @@ class TestServerConnectionLifecycle:
         assert mini_net.client.tcp.open_connections == 1
         conn.abort()
         assert mini_net.client.tcp.open_connections == 0
+
+
+def _hooks(conn, events):
+    conn.on_established = lambda c: events.append("established")
+    conn.on_data = lambda c, nbytes, data: events.append("data")
+    conn.on_reset = lambda c: events.append("reset")
+    conn.on_failed = lambda c, reason: events.append(reason)
+
+
+def _assert_released(conn):
+    assert conn.on_established is None
+    assert conn.on_data is None
+    assert conn.on_reset is None
+    assert conn.on_failed is None
+
+
+class TestEndOfLifeReleasesHooks:
+    """A terminal connection drops its application hooks — after the
+    hook for that transition has run — so an owner holding the
+    connection back is not kept alive through them."""
+
+    def test_rst(self, mini_net):
+        events = []
+        conn = mini_net.client.tcp.connect(mini_net.server.address, 81)
+        _hooks(conn, events)
+        mini_net.run(until=1.0)
+        assert events == ["reset"]
+        _assert_released(conn)
+
+    def test_syn_give_up(self, mini_net):
+        events = []
+        conn = mini_net.client.tcp.connect(
+            0x0B0B0B0B, 80, ClientConnConfig(syn_retries=1))
+        _hooks(conn, events)
+        mini_net.run(until=60.0)
+        assert events == ["syn-timeout"]
+        _assert_released(conn)
+
+    def test_challenge_abandoned(self, mini_net):
+        _listen(mini_net, mode=DefenseMode.PUZZLES,
+                puzzle_params=PuzzleParams(k=2, m=10),
+                always_challenge=True)
+        mini_net.client.cpu.consume_seconds(10.0)
+        events = []
+        conn = mini_net.client.tcp.connect(
+            mini_net.server.address, 80,
+            ClientConnConfig(solve_backlog_limit=1.0))
+        _hooks(conn, events)
+        mini_net.run(until=1.0)
+        assert events == ["challenge-abandoned"]
+        _assert_released(conn)
+
+    def test_abort(self, mini_net):
+        _listen(mini_net)
+        events = []
+        conn = mini_net.client.tcp.connect(mini_net.server.address, 80)
+        _hooks(conn, events)
+        mini_net.run(until=0.2)
+        conn.abort()
+        assert events == ["established"]
+        _assert_released(conn)
+
+    def test_server_close(self, mini_net):
+        listener = _listen(mini_net)
+        mini_net.client.tcp.connect(mini_net.server.address, 80)
+        mini_net.run(until=0.2)
+        server_conn = listener.accept()
+        server_conn.attach_reader(lambda c, nbytes, data: None)
+        server_conn.close(reset=True)
+        assert server_conn.on_data is None
+
+    def test_server_rst(self, mini_net):
+        listener = _listen(mini_net)
+        conn = mini_net.client.tcp.connect(mini_net.server.address, 80)
+        mini_net.run(until=0.2)
+        server_conn = listener.accept()
+        server_conn.attach_reader(lambda c, nbytes, data: None)
+        # The client's stack forgets the flow, so its next segment on it
+        # draws an RST from the client back to the server.
+        conn.abort()
+        server_conn.send_data(10, ("response", 10))
+        mini_net.run(until=0.4)
+        assert server_conn.state is TCBState.RESET
+        assert server_conn.on_data is None
